@@ -15,6 +15,13 @@
 // of the degenerate linear segments (where a whole efficiency class sits
 // at the same marginal price and must be filled fractionally).
 //
+// Every bisection runs to its floating-point fixed point: a step is a pure
+// function of its bracket (lo, hi), so once one step leaves the bracket
+// unchanged every later step would too, and the loop stops there. A
+// midpoint equal to one end is not enough on its own: the test can still
+// move the other end onto it. The iteration counts (80 on energy, 200 on
+// lambda) are only caps; the result is bit-identical to running them out.
+//
 // A slow brute-force allocator is included for cross-checking in tests.
 package opt
 
@@ -188,6 +195,7 @@ type slotCurve struct {
 	phiKnee  float64 // energy at dKnee
 	phiMax   float64 // energy at dMax
 	effLin   float64 // marginal capacity per energy on the linear branch
+	effCap   float64 // marginal just below the duty cap
 	capTotal float64 // total arriving capacity in the slot
 
 	// grid caches zeta at evenly spaced duty cycles above the knee for
@@ -223,6 +231,7 @@ func newSlotCurve(cfg model.Config, proc model.SlotProcess, dMax float64) slotCu
 			c.grid[i] = proc.ProbedCapacity(cfg, c.dKnee+float64(i)*c.gridStep)
 		}
 	}
+	c.effCap = c.marginal(c.phiMax * (1 - 1e-9))
 	return c
 }
 
@@ -277,15 +286,21 @@ func (c slotCurve) phiForMarginal(lambda float64) float64 {
 	if c.capTotal == 0 || lambda > c.effLin+tol {
 		return 0
 	}
-	if m := c.marginal(c.phiMax * (1 - 1e-9)); lambda <= m {
+	if lambda <= c.effCap {
 		return c.phiMax
 	}
 	lo, hi := c.phiKnee, c.phiMax
 	for i := 0; i < 80; i++ {
 		mid := (lo + hi) / 2
 		if c.marginal(mid) >= lambda {
+			if mid == lo {
+				break // fixed point
+			}
 			lo = mid
 		} else {
+			if mid == hi {
+				break // fixed point
+			}
 			hi = mid
 		}
 	}
@@ -316,8 +331,14 @@ func maximizeZeta(p Problem, curves []slotCurve) Plan {
 	for i := 0; i < 200; i++ {
 		mid := (loL + hiL) / 2
 		if total(mid) > p.PhiMax {
+			if mid == loL {
+				break // fixed point
+			}
 			loL = mid
 		} else {
+			if mid == hiL {
+				break // fixed point
+			}
 			hiL = mid
 		}
 	}
@@ -339,29 +360,37 @@ func minimizePhi(p Problem, curves []slotCurve) Plan {
 	if p.ZetaTarget <= tol {
 		return assemble(p, curves, make([]float64, len(curves)), true)
 	}
-	zetaAt := func(lambda float64) (float64, []float64) {
-		phis := make([]float64, len(curves))
+	// zetaAt fills phis with the allocation at price lambda and returns
+	// its capacity; the bisection reuses the one buffer, and only the
+	// final call's allocation is kept.
+	phis := make([]float64, len(curves))
+	zetaAt := func(lambda float64) float64 {
 		z := 0.0
 		for i, c := range curves {
 			phis[i] = c.phiForMarginal(lambda)
 			z += c.zeta(phis[i])
 		}
-		return z, phis
+		return z
 	}
 	// Higher lambda -> less energy -> less capacity. Bisect to the
 	// smallest capacity still meeting the target.
 	loL, hiL := 0.0, maxLinearEff(curves)*2+1
 	for i := 0; i < 200; i++ {
 		mid := (loL + hiL) / 2
-		z, _ := zetaAt(mid)
-		if z >= p.ZetaTarget {
+		if zetaAt(mid) >= p.ZetaTarget {
+			if mid == loL {
+				break // fixed point
+			}
 			loL = mid
 		} else {
+			if mid == hiL {
+				break // fixed point
+			}
 			hiL = mid
 		}
 	}
 	lambda := loL
-	z, phis := zetaAt(lambda)
+	z := zetaAt(lambda)
 	// The allocation at lambda may overshoot because a whole efficiency
 	// class switched on at once; peel the surplus back from the marginal
 	// class (all its members share the same efficiency, so removal order

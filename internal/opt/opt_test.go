@@ -1,7 +1,9 @@
 package opt
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"rushprobe/internal/dist"
@@ -317,5 +319,226 @@ func TestTwoStepSemantics(t *testing.T) {
 	}
 	if math.Abs(loose.Phi-86.4) > 0.01 {
 		t.Errorf("phi = %v, want full budget", loose.Phi)
+	}
+}
+
+// refSolve is the fixed-count form of the solver: every bisection runs
+// its full iteration count and the cap marginal is recomputed per call. It shares the non-bisection
+// helpers and curves with Solve, so any difference in output comes from
+// the loops.
+func refSolve(p Problem, curves []slotCurve) Plan {
+	maxPlan := refMaximizeZeta(p, curves)
+	if maxPlan.Zeta < p.ZetaTarget-tol {
+		return maxPlan
+	}
+	return refMinimizePhi(p, curves)
+}
+
+func refPhiForMarginal(c slotCurve, lambda float64) float64 {
+	if c.capTotal == 0 || lambda > c.effLin+tol {
+		return 0
+	}
+	if m := c.marginal(c.phiMax * (1 - 1e-9)); lambda <= m {
+		return c.phiMax
+	}
+	lo, hi := c.phiKnee, c.phiMax
+	for i := 0; i < 80; i++ {
+		mid := (lo + hi) / 2
+		if c.marginal(mid) >= lambda {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+func refMaximizeZeta(p Problem, curves []slotCurve) Plan {
+	total := func(lambda float64) float64 {
+		s := 0.0
+		for _, c := range curves {
+			s += refPhiForMarginal(c, lambda)
+		}
+		return s
+	}
+	phis := make([]float64, len(curves))
+	if total(tol) <= p.PhiMax+tol {
+		for i, c := range curves {
+			phis[i] = refPhiForMarginal(c, tol)
+		}
+		return assemble(p, curves, phis, true)
+	}
+	loL, hiL := 0.0, maxLinearEff(curves)*2+1
+	for i := 0; i < 200; i++ {
+		mid := (loL + hiL) / 2
+		if total(mid) > p.PhiMax {
+			loL = mid
+		} else {
+			hiL = mid
+		}
+	}
+	used := 0.0
+	for i, c := range curves {
+		phis[i] = refPhiForMarginal(c, hiL)
+		used += phis[i]
+	}
+	distributeSlack(p, curves, phis, p.PhiMax-used, hiL)
+	return assemble(p, curves, phis, false)
+}
+
+func refMinimizePhi(p Problem, curves []slotCurve) Plan {
+	if p.ZetaTarget <= tol {
+		return assemble(p, curves, make([]float64, len(curves)), true)
+	}
+	zetaAt := func(lambda float64) (float64, []float64) {
+		phis := make([]float64, len(curves))
+		z := 0.0
+		for i, c := range curves {
+			phis[i] = refPhiForMarginal(c, lambda)
+			z += c.zeta(phis[i])
+		}
+		return z, phis
+	}
+	loL, hiL := 0.0, maxLinearEff(curves)*2+1
+	for i := 0; i < 200; i++ {
+		mid := (loL + hiL) / 2
+		if z, _ := zetaAt(mid); z >= p.ZetaTarget {
+			loL = mid
+		} else {
+			hiL = mid
+		}
+	}
+	z, phis := zetaAt(loL)
+	trimSurplus(curves, phis, z-p.ZetaTarget, loL)
+	return assemble(p, curves, phis, true)
+}
+
+// exactnessCorpus returns seeded random problems covering fixed and
+// normal contact lengths, duty caps below 1 and zero-frequency slots.
+func exactnessCorpus(n int) []Problem {
+	r := rand.New(rand.NewSource(20110620))
+	probs := []Problem{roadside(0, 0)}
+	for len(probs) < n {
+		normal := len(probs)%4 == 3 // normal curves cost a quadrature grid each
+		nSlots := 1 + r.Intn(24)
+		if normal {
+			nSlots = 1 + r.Intn(6)
+		}
+		slots := make([]model.SlotProcess, nSlots)
+		for i := range slots {
+			slots[i].Duration = 600 + 7200*r.Float64()
+			if r.Float64() < 0.2 {
+				continue // zero-frequency slot
+			}
+			slots[i].Freq = 1 / (100 + 3000*r.Float64())
+			mean := 0.5 + 5*r.Float64()
+			if normal {
+				slots[i].Length = dist.NormalTenth(mean)
+			} else {
+				slots[i].Length = dist.Fixed{Value: mean}
+			}
+		}
+		p := Problem{Model: model.DefaultConfig(), Slots: slots}
+		if r.Float64() < 0.4 {
+			p.MaxDuty = 0.002 + 0.5*r.Float64()
+		}
+		probs = append(probs, p)
+	}
+	return probs
+}
+
+// TestSolveMatchesFixedCountReference is the proof that stopping the
+// bisections at their fixed point is exact: over budgets from 0 to past
+// saturation and targets from 0 to infeasible, Solve must return the
+// very bits the fixed-count reference returns.
+func TestSolveMatchesFixedCountReference(t *testing.T) {
+	n := 12
+	if testing.Short() {
+		n = 4
+	}
+	budgetFracs := []float64{0, 1e-4, 0.003, 0.05, 0.3, 0.999, 1.5}
+	targetFracs := []float64{0, 0.01, 0.2, 0.6, 0.95, 1.2}
+	// Plans by the path that made them: step 2, step 1's lambda
+	// bisection, and step 1 with budget to spare.
+	var met, bound, saturated int
+	for pi, p := range exactnessCorpus(n) {
+		saturation, capacity := 0.0, 0.0
+		for _, s := range p.Slots {
+			saturation += s.Duration * p.maxDuty()
+			if s.Freq > 0 {
+				capacity += s.Capacity()
+			}
+		}
+		s, err := NewSolver(p)
+		if err != nil {
+			t.Fatalf("problem %d: %v", pi, err)
+		}
+		for _, bf := range budgetFracs {
+			for _, tf := range targetFracs {
+				q := p
+				q.PhiMax, q.ZetaTarget = bf*saturation, tf*capacity
+				got, err := s.Solve(q.PhiMax, q.ZetaTarget)
+				if err != nil {
+					t.Fatalf("problem %d: %v", pi, err)
+				}
+				want := refSolve(q, s.curves)
+				if d := planBitsDiff(got, want); d != "" {
+					t.Fatalf("problem %d (%d slots, MaxDuty %g) budget %g target %g: %s",
+						pi, len(p.Slots), p.MaxDuty, q.PhiMax, q.ZetaTarget, d)
+				}
+				switch {
+				case got.TargetMet:
+					met++
+				case got.BudgetBound:
+					bound++
+				default:
+					saturated++
+				}
+			}
+		}
+	}
+	if met == 0 || bound == 0 || saturated == 0 {
+		t.Errorf("corpus exercises met=%d bound=%d saturated=%d plans; want every kind", met, bound, saturated)
+	}
+}
+
+func planBitsDiff(got, want Plan) string {
+	if len(got.Duty) != len(want.Duty) {
+		return fmt.Sprintf("%d duties, want %d", len(got.Duty), len(want.Duty))
+	}
+	for i := range got.Duty {
+		if math.Float64bits(got.Duty[i]) != math.Float64bits(want.Duty[i]) {
+			return fmt.Sprintf("Duty[%d] = %v, want %v", i, got.Duty[i], want.Duty[i])
+		}
+	}
+	switch {
+	case math.Float64bits(got.Zeta) != math.Float64bits(want.Zeta):
+		return fmt.Sprintf("Zeta = %v, want %v", got.Zeta, want.Zeta)
+	case math.Float64bits(got.Phi) != math.Float64bits(want.Phi):
+		return fmt.Sprintf("Phi = %v, want %v", got.Phi, want.Phi)
+	case got.TargetMet != want.TargetMet:
+		return fmt.Sprintf("TargetMet = %v, want %v", got.TargetMet, want.TargetMet)
+	case got.BudgetBound != want.BudgetBound:
+		return fmt.Sprintf("BudgetBound = %v, want %v", got.BudgetBound, want.BudgetBound)
+	}
+	return ""
+}
+
+// Solve allocates a fixed handful of slices per call (16 at this
+// writing: the step-1 and step-2 allocations, the trim candidates and
+// their sort, two duty vectors), however many bisection steps it takes.
+// A per-step allocation in the lambda bisection would cost dozens more.
+func TestSolveAllocs(t *testing.T) {
+	s, err := NewSolver(roadside(864, 24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := s.Solve(864, 24); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 20 {
+		t.Errorf("Solve allocates %v times per call, want <= 20", allocs)
 	}
 }

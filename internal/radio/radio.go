@@ -171,7 +171,8 @@ func (m *Meter) ResetCounters(at simtime.Instant) {
 
 // DutyCycler drives a radio on/off with SNIP's fixed Ton and derived
 // Toff = Ton/d - Ton. It does not own a clock; the caller (the DES node)
-// asks for the schedule.
+// asks for the schedule. It is a small value type, so building one per
+// beacon costs no allocation.
 type DutyCycler struct {
 	ton  float64
 	duty float64
@@ -179,28 +180,28 @@ type DutyCycler struct {
 
 // NewDutyCycler returns a cycler with on-period ton (seconds) and duty
 // cycle d in (0, 1]. It returns an error for out-of-range parameters.
-func NewDutyCycler(ton, d float64) (*DutyCycler, error) {
+func NewDutyCycler(ton, d float64) (DutyCycler, error) {
 	if ton <= 0 {
-		return nil, fmt.Errorf("radio: Ton must be positive, got %g", ton)
+		return DutyCycler{}, fmt.Errorf("radio: Ton must be positive, got %g", ton)
 	}
 	if d <= 0 || d > 1 {
-		return nil, fmt.Errorf("radio: duty cycle must be in (0, 1], got %g", d)
+		return DutyCycler{}, fmt.Errorf("radio: duty cycle must be in (0, 1], got %g", d)
 	}
-	return &DutyCycler{ton: ton, duty: d}, nil
+	return DutyCycler{ton: ton, duty: d}, nil
 }
 
 // Ton returns the on-period in seconds.
-func (dc *DutyCycler) Ton() simtime.Duration { return simtime.Duration(dc.ton) }
+func (dc DutyCycler) Ton() simtime.Duration { return simtime.Duration(dc.ton) }
 
 // Duty returns the duty cycle.
-func (dc *DutyCycler) Duty() float64 { return dc.duty }
+func (dc DutyCycler) Duty() float64 { return dc.duty }
 
 // Cycle returns the full cycle length Tcycle = Ton/d.
-func (dc *DutyCycler) Cycle() simtime.Duration {
+func (dc DutyCycler) Cycle() simtime.Duration {
 	return simtime.Duration(dc.ton / dc.duty)
 }
 
 // Toff returns the off-period Tcycle - Ton.
-func (dc *DutyCycler) Toff() simtime.Duration {
+func (dc DutyCycler) Toff() simtime.Duration {
 	return dc.Cycle() - dc.Ton()
 }

@@ -369,6 +369,10 @@ func (n *node) stopCycle(now simtime.Instant) {
 	n.duty = 0
 }
 
+// startCycle (re)starts duty cycling at duty, cancelling any pending
+// beacon or radio-off event.
+//
+//rushlint:hotpath
 func (n *node) startCycle(now simtime.Instant, duty float64, resume bool) {
 	n.sim.Cancel(n.nextBeacon)
 	n.sim.Cancel(n.radioOff)
@@ -394,6 +398,8 @@ func (n *node) startCycle(now simtime.Instant, duty float64, resume bool) {
 }
 
 // onRadioOff ends an unprobed on-period (bound once as radioOffFn).
+//
+//rushlint:hotpath
 func (n *node) onRadioOff(at simtime.Instant) {
 	if n.meter.State() != radio.Off && !n.uploading {
 		n.meter.TurnOff(at)
@@ -402,6 +408,8 @@ func (n *node) onRadioOff(at simtime.Instant) {
 
 // onBeacon is the start of a radio on-period: SNIP transmits a beacon
 // immediately after the radio turns on (§III).
+//
+//rushlint:hotpath
 func (n *node) onBeacon(now simtime.Instant) {
 	if !n.active {
 		return

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"rushprobe/internal/core"
 	"rushprobe/internal/scenario"
 	"rushprobe/internal/simtime"
 )
@@ -408,5 +409,41 @@ func TestShiftChangesWhereContactsAppear(t *testing.T) {
 	if res.Summary.MeanZeta >= base.Summary.MeanZeta*0.8 {
 		t.Errorf("shifted zeta %v should be well below unshifted %v",
 			res.Summary.MeanZeta, base.Summary.MeanZeta)
+	}
+}
+
+// The beacon path allocates nothing per duty cycle: a contact-free day
+// flown at ten times the duty cycle runs ten times the beacons and must
+// allocate the same, up to a small constant.
+func TestBeaconPathAllocsIndependentOfCycles(t *testing.T) {
+	sc := scenario.Roadside()
+	for i := range sc.Slots {
+		sc.Slots[i].Interval = nil // no contacts: every on-period is unprobed
+	}
+	run := func(duty float64) (allocs, phi float64) {
+		cfg := Config{
+			Scenario:     sc,
+			NewScheduler: func() (core.Scheduler, error) { return core.NewAT(duty) },
+			Epochs:       1,
+			Seed:         1,
+		}
+		var (
+			res *Result
+			err error
+		)
+		allocs = testing.AllocsPerRun(3, func() { res, err = Run(cfg) })
+		if err != nil {
+			t.Fatal(err)
+		}
+		return allocs, res.Epochs[0].Phi
+	}
+	// Ton = 20 ms: 4320 cycles per day at duty 0.001, 43200 at 0.01.
+	n, phiN := run(0.001)
+	tenN, phiTenN := run(0.01)
+	if r := phiTenN / phiN; math.Abs(r-10) > 0.01 {
+		t.Fatalf("probing on-time ratio %v, want 10 (the runs must differ only in cycle count)", r)
+	}
+	if tenN > n+16 {
+		t.Errorf("10N duty cycles allocate %v, N allocate %v: the beacon path allocates per cycle", tenN, n)
 	}
 }

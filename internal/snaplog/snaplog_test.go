@@ -287,6 +287,8 @@ func BenchmarkWriteFrame(b *testing.B) {
 	}
 }
 
+// BenchmarkReadFrame decodes a 1024-frame log per op and counts every
+// byte it reads, so MB/s is right at any -benchtime, 1x included.
 func BenchmarkReadFrame(b *testing.B) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -300,9 +302,9 @@ func BenchmarkReadFrame(b *testing.B) {
 		b.Fatal(err)
 	}
 	enc := buf.Bytes()
-	b.SetBytes(int64(len(payload) + 9))
+	b.SetBytes(int64(len(enc)))
 	b.ResetTimer()
-	for i := 0; i < b.N; i += 1024 {
+	for i := 0; i < b.N; i++ {
 		if _, err := readAll(bytes.NewReader(enc)); err != nil {
 			b.Fatal(err)
 		}
