@@ -142,31 +142,9 @@ func run(args []string, out io.Writer) error {
 		srv.requestTimeout = *reqTimeout
 	}
 	if *snaplog != "" {
-		st := newSnaplogStore(f, *snaplog, logger)
-		t0 := time.Now()
-		restored, err := st.restore()
-		if err != nil {
+		if err := srv.openSnaplog(*snaplog, logger); err != nil {
 			return err
 		}
-		if restored {
-			srv.snapMu.Lock()
-			srv.snapRestored = true
-			srv.snapRestoreDur = time.Since(t0)
-			srv.snapMu.Unlock()
-		} else if *snapshot != "" {
-			// Migration: no binary log yet, import the JSON snapshot and
-			// let the compaction below re-persist it in log form.
-			if err := srv.restoreSnapshot(); err != nil {
-				return err
-			}
-			logger.Info("imported JSON snapshot into binary log",
-				"from", *snapshot, "to", *snaplog, "nodes", f.Stats().Nodes)
-		}
-		// Establish the on-disk log and the append handle.
-		if err := st.compact(); err != nil {
-			return err
-		}
-		srv.snaplog = st
 	} else if *snapshot != "" {
 		if err := srv.restoreSnapshot(); err != nil {
 			return err
@@ -324,7 +302,25 @@ func saveSnapshot(f *rushprobe.Fleet, path string) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
-	return os.Rename(tmp.Name(), path)
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir fsyncs a directory, making a rename inside it durable:
+// without it a crash can bring back the old directory entry even
+// though the renamed file's own data was fsynced.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	if err := d.Sync(); err != nil {
+		d.Close()
+		return err
+	}
+	return d.Close()
 }
 
 // maxObserveBody bounds an observe request body (64 MiB ≈ 700k
@@ -1037,6 +1033,36 @@ func (s *server) restoreSnapshot() error {
 	s.snapRestored = true
 	s.snapRestoreDur = time.Since(t0)
 	s.snapMu.Unlock()
+	return nil
+}
+
+// openSnaplog restores the binary snapshot log at path — or, when
+// there is no log yet, imports the configured JSON snapshot, which the
+// log's startup compaction then re-persists in log form — and
+// establishes the log's append handle.
+func (s *server) openSnaplog(path string, logger *slog.Logger) error {
+	st := newSnaplogStore(s.fleet, path, logger)
+	t0 := time.Now()
+	restored, err := st.restore()
+	if err != nil {
+		return err
+	}
+	if restored {
+		s.snapMu.Lock()
+		s.snapRestored = true
+		s.snapRestoreDur = time.Since(t0)
+		s.snapMu.Unlock()
+	} else if s.snapshotPath != "" {
+		if err := s.restoreSnapshot(); err != nil {
+			return err
+		}
+		logger.Info("imported JSON snapshot into binary log",
+			"from", s.snapshotPath, "to", path, "nodes", s.fleet.Stats().Nodes)
+	}
+	if err := st.start(); err != nil {
+		return err
+	}
+	s.snaplog = st
 	return nil
 }
 

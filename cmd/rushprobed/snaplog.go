@@ -21,20 +21,37 @@ const snaplogCompactRatio = 1.0
 // snaplogStore manages the daemon's incremental binary snapshot log:
 // restore at startup (torn tails recovered loudly, corruption fatal),
 // periodic dirty-node delta appends with fsync, and compaction — a
-// full fsync-before-rename rewrite — when the delta tail outgrows the
-// base, on POST /v1/snapshot, and at shutdown.
+// full fsync-before-rename rewrite — at startup unless the log is
+// already compact, when the delta tail outgrows the base, after a
+// failed write, on POST /v1/snapshot, and at shutdown.
 type snaplogStore struct {
 	path   string
 	fleet  *rushprobe.Fleet
 	logger *slog.Logger
 
+	// restoredCompact reports that the restored log was exactly one full
+	// snapshot, which startup can reuse instead of rewriting.
+	restoredCompact bool
+
 	mu          sync.Mutex
-	file        *os.File // O_APPEND handle between compactions
-	base        int64    // bytes of the last full snapshot
-	appended    int64    // delta bytes since the last compaction
+	file        appendFile // O_APPEND handle between compactions
+	base        int64      // bytes of the last full snapshot
+	appended    int64      // delta bytes since the last compaction
 	deltas      int64
 	deltaNodes  int64
 	compactions int64
+	// broken is set by any failed write: the log may end in a torn
+	// frame and the fleet may have marked unpersisted nodes clean, so
+	// the next appendDelta compacts instead of appending.
+	broken bool
+}
+
+// appendFile is the handle delta appends go through: the *os.File
+// open() returns, or a fault-injecting stand-in under test.
+type appendFile interface {
+	io.Writer
+	Sync() error
+	Close() error
 }
 
 func newSnaplogStore(f *rushprobe.Fleet, path string, logger *slog.Logger) *snaplogStore {
@@ -59,6 +76,7 @@ func (st *snaplogStore) restore() (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("snapshot log %s is not restorable (remove or replace it to start fresh): %w", st.path, err)
 	}
+	st.restoredCompact = !info.Truncated && info.Generations == 1 && info.Frames == info.Nodes+1
 	if info.Truncated {
 		st.logger.Warn("snapshot log has a torn tail — dropped it, recovered the valid prefix",
 			"path", st.path, "tornOffset", info.TornOffset,
@@ -68,6 +86,27 @@ func (st *snaplogStore) restore() (bool, error) {
 		"path", st.path, "nodes", info.Nodes, "frames", info.Frames,
 		"generations", info.Generations, "duration", time.Since(t0))
 	return true, nil
+}
+
+// start establishes the on-disk log and the append handle once the
+// fleet holds its startup state. A log that restored as exactly one
+// full snapshot — what a clean shutdown leaves — is already compact:
+// it is reopened and fsynced, file and directory, instead of being
+// rewritten. A delta tail, a torn tail, a JSON import and a fresh
+// start are all compacted.
+func (st *snaplogStore) start() error {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !st.restoredCompact {
+		return st.compactLocked()
+	}
+	if err := st.open(); err != nil {
+		return err
+	}
+	if err := st.file.Sync(); err != nil {
+		return fmt.Errorf("snapshot log %s: sync: %w", st.path, err)
+	}
+	return syncDir(filepath.Dir(st.path))
 }
 
 // open (re)opens the append handle and records the current size as the
@@ -103,12 +142,15 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 }
 
 // appendDelta appends the dirty nodes to the log and fsyncs. When the
-// accumulated delta tail outgrows the base snapshot it compacts
-// instead. Idle intervals (no dirty nodes) cost one counter scan and
-// no I/O.
+// accumulated delta tail outgrows the base snapshot, or an earlier
+// write failed, it compacts instead. Idle intervals (no dirty nodes)
+// cost one counter scan and no I/O.
 func (st *snaplogStore) appendDelta() error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if st.broken {
+		return st.compactLocked()
+	}
 	if st.file == nil {
 		return fmt.Errorf("snapshot log %s is not open", st.path)
 	}
@@ -119,11 +161,14 @@ func (st *snaplogStore) appendDelta() error {
 	nodes, err := st.fleet.SnapshotBinaryDelta(cw)
 	st.appended += cw.n
 	if err != nil {
-		// The tail may now hold a torn frame. Leave it: restore drops
-		// torn tails, and the next compaction rewrites the whole log.
+		// The tail may now hold a torn frame, which a later append would
+		// bury mid-log, and the failed nodes are already marked clean.
+		// The next tick compacts instead: a full rewrite from memory.
+		st.broken = true
 		return fmt.Errorf("snapshot log %s: delta append: %w", st.path, err)
 	}
 	if err := st.file.Sync(); err != nil {
+		st.broken = true
 		return fmt.Errorf("snapshot log %s: sync: %w", st.path, err)
 	}
 	st.deltas++
@@ -142,7 +187,19 @@ func (st *snaplogStore) compact() error {
 	return st.compactLocked()
 }
 
+// compactLocked rewrites the log. A failure leaves the store broken,
+// so the next appendDelta retries the full rewrite: the failed write
+// may already have marked nodes clean.
 func (st *snaplogStore) compactLocked() error {
+	if err := st.rewriteLocked(); err != nil {
+		st.broken = true
+		return err
+	}
+	st.broken = false
+	return nil
+}
+
+func (st *snaplogStore) rewriteLocked() error {
 	dir := filepath.Dir(st.path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(st.path)+".tmp*")
 	if err != nil {
@@ -166,6 +223,9 @@ func (st *snaplogStore) compactLocked() error {
 		return err
 	}
 	if err := os.Rename(tmp.Name(), st.path); err != nil {
+		return err
+	}
+	if err := syncDir(dir); err != nil {
 		return err
 	}
 	if st.file != nil {

@@ -287,70 +287,107 @@ func (d *nodeDecoder) varintCounter(name string) (int64, error) {
 	return int64(v), nil
 }
 
-// decodeNodeFrame parses one node frame payload into a NodeState.
-func decodeNodeFrame(p []byte) (NodeState, error) {
-	var n NodeState
+// frameDecoder decodes node frames into one reused NodeState: the
+// learner slices, the drift state and the detector register maps are
+// overwritten frame after frame, so a replay allocates only what a
+// live profile keeps (its ID, and the estimators buildProfile builds).
+// The NodeState a decode returns is valid until the next decode.
+type frameDecoder struct {
+	ns     NodeState
+	rec    learn.ProfileRecord
+	drift  NodeDriftState
+	states [3]drift.State
+}
+
+// knownNames interns the detector kinds and register keys the drift
+// package exports, so decoding a frame's registers allocates no
+// strings; an unknown name (a corrupt or future frame) is copied.
+var knownNames = func() map[string]string {
+	names := map[string]string{}
+	for _, kind := range drift.Kinds() {
+		d, err := drift.New(kind, drift.Config{})
+		if err != nil {
+			panic(err)
+		}
+		st := d.State()
+		names[st.Kind] = st.Kind
+		for k := range st.V {
+			names[k] = k
+		}
+	}
+	return names
+}()
+
+func intern(b []byte) string {
+	if s, ok := knownNames[string(b)]; ok {
+		return s
+	}
+	return string(b)
+}
+
+// decode parses one node frame payload.
+func (fd *frameDecoder) decode(p []byte) (*NodeState, error) {
+	n := &fd.ns
 	d := &nodeDecoder{p: p}
 	idLen, err := d.uvarint("id length")
 	if err != nil {
-		return n, err
+		return nil, err
 	}
 	if idLen > math.MaxUint16 {
-		return n, fmt.Errorf("node ID length %d exceeds the %d cap", idLen, math.MaxUint16)
+		return nil, fmt.Errorf("node ID length %d exceeds the %d cap", idLen, math.MaxUint16)
 	}
 	id, err := d.bytes(int(idLen))
 	if err != nil {
-		return n, err
+		return nil, err
 	}
 	n.ID = string(id)
 	stratLen, err := d.u8()
 	if err != nil {
-		return n, err
+		return nil, err
 	}
 	strat, err := d.bytes(int(stratLen))
 	if err != nil {
-		return n, err
+		return nil, err
 	}
 	n.Strategy = string(strat)
 	epoch, err := d.varintCounter("epoch")
 	if err != nil {
-		return n, err
+		return nil, err
 	}
 	if epoch > math.MaxInt32 {
-		return n, fmt.Errorf("epoch %d exceeds the int32 range the clock supports", epoch)
+		return nil, fmt.Errorf("epoch %d exceeds the int32 range the clock supports", epoch)
 	}
 	n.Epoch = int(epoch)
 	if n.Observed, err = d.varintCounter("observed count"); err != nil {
-		return n, err
+		return nil, err
 	}
 	if n.Stale, err = d.varintCounter("stale count"); err != nil {
-		return n, err
+		return nil, err
 	}
-	if n.Drift, err = decodeDriftBlob(d); err != nil {
-		return n, err
+	if n.Drift, err = fd.decodeDrift(d); err != nil {
+		return nil, err
 	}
 	recLen, err := d.u32()
 	if err != nil {
-		return n, err
+		return nil, err
 	}
 	rec, err := d.bytes(int(recLen))
 	if err != nil {
-		return n, err
+		return nil, err
 	}
-	var pr learn.ProfileRecord
-	if err := pr.UnmarshalBinary(rec); err != nil {
-		return n, err
+	if err := fd.rec.UnmarshalBinary(rec); err != nil {
+		return nil, err
 	}
 	if d.off != len(d.p) {
-		return n, fmt.Errorf("node frame has %d trailing bytes", len(d.p)-d.off)
+		return nil, fmt.Errorf("node frame has %d trailing bytes", len(d.p)-d.off)
 	}
-	n.Length = pr.Length
-	n.Upload = pr.Upload
-	n.Learner = pr.Learner
+	n.Length = fd.rec.Length
+	n.Upload = fd.rec.Upload
+	n.Learner = fd.rec.Learner
 	return n, nil
 }
 
-func decodeDriftBlob(d *nodeDecoder) (*NodeDriftState, error) {
+func (fd *frameDecoder) decodeDrift(d *nodeDecoder) (*NodeDriftState, error) {
 	flag, err := d.u8()
 	if err != nil {
 		return nil, err
@@ -362,7 +399,8 @@ func decodeDriftBlob(d *nodeDecoder) (*NodeDriftState, error) {
 	default:
 		return nil, fmt.Errorf("drift flag %#02x is not 0 or 1", flag)
 	}
-	ds := &NodeDriftState{}
+	ds := &fd.drift
+	*ds = NodeDriftState{}
 	if ds.Events, err = d.counter("drift event count"); err != nil {
 		return nil, err
 	}
@@ -396,8 +434,8 @@ func decodeDriftBlob(d *nodeDecoder) (*NodeDriftState, error) {
 	default:
 		return nil, fmt.Errorf("drift stream count %d is not 0 or 3", streams)
 	}
-	out := make([]*drift.State, 3)
-	for i := range out {
+	for i := range fd.states {
+		s := &fd.states[i]
 		kindLen, err := d.u8()
 		if err != nil {
 			return nil, err
@@ -410,10 +448,11 @@ func decodeDriftBlob(d *nodeDecoder) (*NodeDriftState, error) {
 		if err != nil {
 			return nil, err
 		}
-		s := &drift.State{Kind: string(kind)}
-		if nreg > 0 {
+		s.Kind = intern(kind)
+		if s.V == nil {
 			s.V = make(map[string]float64, nreg)
 		}
+		clear(s.V)
 		prevKey := ""
 		for r := 0; r < int(nreg); r++ {
 			keyLen, err := d.u8()
@@ -428,17 +467,94 @@ func decodeDriftBlob(d *nodeDecoder) (*NodeDriftState, error) {
 			if err != nil {
 				return nil, err
 			}
-			k := string(key)
+			k := intern(key)
 			if r > 0 && k <= prevKey {
 				return nil, fmt.Errorf("detector registers out of order (%q after %q)", k, prevKey)
 			}
 			prevKey = k
 			s.V[k] = math.Float64frombits(val)
 		}
-		out[i] = s
 	}
-	ds.Rate, ds.Length, ds.Share = out[0], out[1], out[2]
+	ds.Rate, ds.Length, ds.Share = &fd.states[0], &fd.states[1], &fd.states[2]
 	return ds, nil
+}
+
+// replay admits node frames as live profiles, last record wins. Each
+// frame is built into a profile as soon as it decodes and replaces its
+// node's earlier profile in per-shard maps; the caller swaps those
+// into (or merges them with) the fleet only after the last frame, so a
+// failed replay never touches the fleet. A frame that decodes but
+// fails buildProfile is held against its node ID and fails the replay
+// only if no later frame for that node supersedes it — exactly the
+// logs that would restore if only each node's last record were built.
+type replay struct {
+	f      *Fleet
+	dec    frameDecoder
+	shards []map[string]*profile
+	failed map[string]buildFailure
+}
+
+// buildFailure is a node frame that decoded but did not build.
+type buildFailure struct {
+	offset int64
+	err    error
+}
+
+func (f *Fleet) newReplay() *replay {
+	rp := &replay{f: f, shards: make([]map[string]*profile, len(f.shards))}
+	for i := range rp.shards {
+		rp.shards[i] = make(map[string]*profile)
+	}
+	return rp
+}
+
+// reset drops everything replayed so far.
+func (rp *replay) reset() {
+	for _, m := range rp.shards {
+		clear(m)
+	}
+	clear(rp.failed)
+}
+
+// add decodes the node frame at offset and admits it. A frame that
+// does not decode is corruption and fails at once, superseded or not.
+func (rp *replay) add(payload []byte, offset int64) error {
+	n, err := rp.dec.decode(payload)
+	if err != nil {
+		return err
+	}
+	if n.ID == "" {
+		return errors.New("empty node ID")
+	}
+	m := rp.shards[rp.f.shardIndex(n.ID)]
+	p, err := rp.f.buildProfile(n)
+	if err != nil {
+		delete(m, n.ID)
+		if rp.failed == nil {
+			rp.failed = make(map[string]buildFailure)
+		}
+		rp.failed[n.ID] = buildFailure{offset: offset, err: err}
+		return nil
+	}
+	if len(rp.failed) > 0 {
+		delete(rp.failed, n.ID)
+	}
+	m[n.ID] = p
+	return nil
+}
+
+// err returns the earliest build failure no later frame superseded.
+func (rp *replay) err() error {
+	var first *buildFailure
+	for _, bf := range rp.failed {
+		if first == nil || bf.offset < first.offset {
+			first = &bf
+		}
+	}
+	if first == nil {
+		return nil
+	}
+	return first.err
 }
 
 // WriteBinarySnapshot streams a full binary snapshot of the fleet —
@@ -532,7 +648,10 @@ func (f *Fleet) appendProfileFrame(dst []byte, ns *NodeState, p *profile) ([]byt
 // frame) and marks them clean, returning how many were written. The
 // caller appends the result to a log that already starts with a full
 // snapshot. Determinism matches WriteBinarySnapshot: shards in order,
-// IDs sorted within each shard.
+// IDs sorted within each shard. A node is marked clean once its frame
+// is buffered, before the write is durable: after a failed append (or
+// a failed fsync of it) the caller must assume both a torn tail and
+// lost dirty flags, and write a full snapshot instead of another delta.
 func (f *Fleet) AppendBinaryDelta(w io.Writer) (int, error) {
 	sw := snaplog.NewWriter(w)
 	var scratch []byte
@@ -598,7 +717,8 @@ func (f *Fleet) DirtyNodes() int {
 // RecoveryInfo — the caller decides how loudly to surface it — while
 // corruption (CRC mismatch, bad framing, undecodable node) fails hard
 // without touching the fleet's current state. An empty log is an
-// error, never a silent fresh start.
+// error, never a silent fresh start. The replay is one streaming pass:
+// each frame becomes a live profile as it is read (see replay).
 func (f *Fleet) ReadBinarySnapshot(r io.Reader) (*RecoveryInfo, error) {
 	tel := f.cfg.Telemetry
 	var start time.Time
@@ -628,10 +748,10 @@ func (f *Fleet) ReadBinarySnapshot(r io.Reader) (*RecoveryInfo, error) {
 func (f *Fleet) readBinarySnapshot(r io.Reader) (*RecoveryInfo, error) {
 	sr := snaplog.NewReader(r)
 	info := &RecoveryInfo{}
-	nodes := make(map[string]NodeState)
-	order := []string{} // insertion order for deterministic error paths
+	rp := f.newReplay()
+	var buf []byte
 	for {
-		fr, err := sr.Next()
+		fr, err := sr.NextInto(buf)
 		if err == io.EOF {
 			break
 		}
@@ -644,6 +764,7 @@ func (f *Fleet) readBinarySnapshot(r io.Reader) (*RecoveryInfo, error) {
 		if err != nil {
 			return nil, fmt.Errorf("fleet: read snapshot log: %w", err)
 		}
+		buf = fr.Payload
 		switch fr.Type {
 		case snaplog.FrameMeta:
 			if err := f.decodeMetaFrame(fr.Payload); err != nil {
@@ -651,26 +772,15 @@ func (f *Fleet) readBinarySnapshot(r io.Reader) (*RecoveryInfo, error) {
 			}
 			// A new generation: everything before this full snapshot is
 			// superseded.
-			if len(nodes) > 0 {
-				nodes = make(map[string]NodeState)
-				order = order[:0]
-			}
+			rp.reset()
 			info.Generations++
 		case snaplog.FrameNode:
 			if info.Generations == 0 {
 				return nil, fmt.Errorf("fleet: snapshot log starts with a node frame at byte %d, want a meta frame", fr.Offset)
 			}
-			n, err := decodeNodeFrame(fr.Payload)
-			if err != nil {
+			if err := rp.add(fr.Payload, fr.Offset); err != nil {
 				return nil, fmt.Errorf("fleet: node frame at byte %d: %w", fr.Offset, err)
 			}
-			if n.ID == "" {
-				return nil, fmt.Errorf("fleet: node frame at byte %d has an empty ID", fr.Offset)
-			}
-			if _, seen := nodes[n.ID]; !seen {
-				order = append(order, n.ID)
-			}
-			nodes[n.ID] = n // last record wins
 		}
 		info.Frames = sr.Frames()
 	}
@@ -680,24 +790,29 @@ func (f *Fleet) readBinarySnapshot(r io.Reader) (*RecoveryInfo, error) {
 		}
 		return nil, errors.New("fleet: snapshot log is empty")
 	}
-	s := &Snapshot{Version: snapshotVersion, BaseFingerprint: f.baseFP}
-	s.Nodes = make([]NodeState, 0, len(nodes))
-	for _, id := range order {
-		s.Nodes = append(s.Nodes, nodes[id])
-	}
-	if err := f.Restore(s); err != nil {
+	if err := rp.err(); err != nil {
 		return nil, err
 	}
-	// The log is the source of truth these nodes came from: they are
+	// All-or-nothing: swap in the new maps only after every frame built.
+	// The log is the source of truth these nodes came from, so they are
 	// clean until the next mutation.
+	var observed, stale, driftTotal int64
 	for i := range f.shards {
+		m := rp.shards[i]
+		for _, p := range m {
+			p.dirty = false
+			observed += p.observed
+			stale += p.stale
+			driftTotal += p.driftEvents
+		}
+		info.Nodes += len(m)
 		sh := &f.shards[i]
 		sh.mu.Lock()
-		for _, p := range sh.nodes {
-			p.dirty = false
-		}
+		sh.nodes = m
 		sh.mu.Unlock()
 	}
-	info.Nodes = len(nodes)
+	f.accepted.Store(observed)
+	f.stale.Store(stale)
+	f.driftEvents.Store(driftTotal)
 	return info, nil
 }

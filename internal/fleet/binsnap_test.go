@@ -434,3 +434,116 @@ func TestBinarySnapshotMemoryFlat(t *testing.T) {
 		t.Fatalf("binary snapshot allocated %d B, want < 1/4 of JSON's %d B", binAlloc, jsonAlloc)
 	}
 }
+
+// nodeFrameFor encodes one live node's frame after letting edit change
+// its serialized state.
+func nodeFrameFor(t *testing.T, f *Fleet, id string, edit func(*NodeState)) []byte {
+	t.Helper()
+	sh := f.shardOf(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	p := sh.nodes[id]
+	if p == nil {
+		t.Fatalf("no node %s", id)
+	}
+	var ns NodeState
+	if _, err := f.appendProfileFrame(nil, &ns, p); err != nil {
+		t.Fatal(err)
+	}
+	edit(&ns)
+	frame, err := appendNodeFrame(nil, &ns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// appendFrames appends raw frames to a log.
+func appendFrames(t *testing.T, log []byte, typ byte, payloads ...[]byte) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	buf.Write(log)
+	w := snaplog.NewWriter(&buf)
+	for _, p := range payloads {
+		if err := w.WriteFrame(typ, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestBinaryRestoreSupersededInvalidFrame: restore builds each frame
+// as it streams past, but a frame that decodes and fails validation
+// only fails the restore when it is its node's last record. A later
+// frame for the node, or a later full snapshot, supersedes it.
+func TestBinaryRestoreSupersededInvalidFrame(t *testing.T) {
+	cfg := Config{DriftDetector: "cusum"}
+	f := newTestFleet(t, cfg)
+	ids := populateRandomFleet(t, f, 40, 21)
+	const victim = "node-000002"
+	base := binarySnapshotBytes(t, f)
+	bad := nodeFrameFor(t, f, victim, func(ns *NodeState) { ns.Strategy = "no-such-strategy" })
+	good := nodeFrameFor(t, f, victim, func(*NodeState) {})
+	want := schedulesJSON(t, f, ids)
+	stats := f.Stats()
+
+	restores := map[string][]byte{
+		"later frame":    appendFrames(t, base, snaplog.FrameNode, bad, good),
+		"later snapshot": append(appendFrames(t, base, snaplog.FrameNode, bad), base...),
+	}
+	for name, log := range restores {
+		f2 := newTestFleet(t, cfg)
+		if _, err := f2.ReadBinarySnapshot(bytes.NewReader(log)); err != nil {
+			t.Fatalf("%s: superseded invalid frame failed the restore: %v", name, err)
+		}
+		if got := schedulesJSON(t, f2, ids); !bytes.Equal(got, want) {
+			t.Fatalf("%s: schedules differ from the live fleet", name)
+		}
+		if got := f2.Stats(); got.Nodes != stats.Nodes || got.Observations != stats.Observations ||
+			got.Stale != stats.Stale || got.DriftEvents != stats.DriftEvents {
+			t.Fatalf("%s: counters %+v, want %+v", name, got, stats)
+		}
+		if d := f2.DirtyNodes(); d != 0 {
+			t.Fatalf("%s: %d dirty nodes after restore", name, d)
+		}
+	}
+
+	// The same invalid frame as its node's last record fails the
+	// restore, naming the node, and leaves the target fleet untouched.
+	f3 := newTestFleet(t, cfg)
+	populateRandomFleet(t, f3, 5, 99)
+	before := schedulesJSON(t, f3, ids[:5])
+	_, err := f3.ReadBinarySnapshot(bytes.NewReader(appendFrames(t, base, snaplog.FrameNode, good, bad)))
+	if err == nil || !strings.Contains(err.Error(), victim) {
+		t.Fatalf("unsuperseded invalid frame: err = %v, want an error naming %s", err, victim)
+	}
+	if after := schedulesJSON(t, f3, ids[:5]); !bytes.Equal(before, after) {
+		t.Fatal("failed restore mutated the fleet")
+	}
+}
+
+// TestBinaryRestoreAllocsPerNode gates the restore's allocations: the
+// streaming replay builds each profile straight from its decoded
+// frame through one reused scratch state, so per node it allocates
+// what the live profile keeps and little else.
+func TestBinaryRestoreAllocsPerNode(t *testing.T) {
+	cfg := Config{DriftDetector: "cusum"}
+	src := newTestFleet(t, cfg)
+	populateRandomFleet(t, src, 1000, 17)
+	nodes := src.Stats().Nodes
+	enc := binarySnapshotBytes(t, src)
+	dst := newTestFleet(t, cfg)
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := dst.ReadBinarySnapshot(bytes.NewReader(enc)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perNode := allocs / float64(nodes)
+	t.Logf("binary restore: %.0f allocs for %d nodes (%.1f per node)", allocs, nodes, perNode)
+	if perNode > 25 {
+		t.Errorf("binary restore allocates %.1f times per node, want <= 25", perNode)
+	}
+}

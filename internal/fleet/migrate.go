@@ -104,10 +104,10 @@ func (f *Fleet) ExportNodes(ids []string) ([]byte, error) {
 func (f *Fleet) ImportFrames(data []byte) (int, error) {
 	sr := snaplog.NewReader(bytes.NewReader(data))
 	sawMeta := false
-	states := make(map[string]NodeState)
-	var order []string
+	rp := f.newReplay()
+	var buf []byte
 	for {
-		fr, err := sr.Next()
+		fr, err := sr.NextInto(buf)
 		if err == io.EOF {
 			break
 		}
@@ -120,6 +120,7 @@ func (f *Fleet) ImportFrames(data []byte) (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("fleet: import: %w", err)
 		}
+		buf = fr.Payload
 		switch fr.Type {
 		case snaplog.FrameMeta:
 			if err := f.decodeMetaFrame(fr.Payload); err != nil {
@@ -130,48 +131,44 @@ func (f *Fleet) ImportFrames(data []byte) (int, error) {
 			if !sawMeta {
 				return 0, fmt.Errorf("fleet: import starts with a node frame at byte %d, want a meta frame", fr.Offset)
 			}
-			n, err := decodeNodeFrame(fr.Payload)
-			if err != nil {
+			if err := rp.add(fr.Payload, fr.Offset); err != nil {
 				return 0, fmt.Errorf("fleet: import node frame at byte %d: %w", fr.Offset, err)
 			}
-			if _, seen := states[n.ID]; !seen {
-				order = append(order, n.ID)
-			}
-			states[n.ID] = n // last record wins, like the snapshot log
 		}
 	}
 	if !sawMeta {
 		return 0, errors.New("fleet: import contains no meta frame")
 	}
-	// Build and validate every profile before admitting any: one bad
-	// node rejects the whole import.
-	built := make([]*profile, 0, len(order))
-	for _, id := range order {
-		n := states[id]
-		p, err := f.buildProfile(&n)
-		if err != nil {
-			return 0, err
-		}
-		built = append(built, p)
+	// Every profile is built and validated before any is admitted: one
+	// bad node rejects the whole import.
+	if err := rp.err(); err != nil {
+		return 0, err
 	}
-	// Admit. Unlike Restore (whole-fleet replace, counters Stored), an
+	// Admit. Unlike a restore (whole-fleet replace, counters Stored), an
 	// import lands on a live fleet, so the counters adjust by deltas —
 	// subtracting any profile the import overwrites.
-	for _, p := range built {
-		sh := f.shardOf(p.id)
-		sh.mu.Lock()
-		if old := sh.nodes[p.id]; old != nil {
-			f.accepted.Add(-old.observed)
-			f.stale.Add(-old.stale)
-			f.driftEvents.Add(-old.driftEvents)
+	imported := 0
+	for i, m := range rp.shards {
+		if len(m) == 0 {
+			continue
 		}
-		sh.nodes[p.id] = p
-		f.accepted.Add(p.observed)
-		f.stale.Add(p.stale)
-		f.driftEvents.Add(p.driftEvents)
+		sh := &f.shards[i]
+		sh.mu.Lock()
+		for id, p := range m {
+			if old := sh.nodes[id]; old != nil {
+				f.accepted.Add(-old.observed)
+				f.stale.Add(-old.stale)
+				f.driftEvents.Add(-old.driftEvents)
+			}
+			sh.nodes[id] = p
+			f.accepted.Add(p.observed)
+			f.stale.Add(p.stale)
+			f.driftEvents.Add(p.driftEvents)
+		}
 		sh.mu.Unlock()
+		imported += len(m)
 	}
-	return len(built), nil
+	return imported, nil
 }
 
 // RemoveNodes deletes the named nodes, returning how many existed.

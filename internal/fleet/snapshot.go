@@ -96,10 +96,12 @@ func (f *Fleet) Snapshot() *Snapshot {
 	return s
 }
 
-// Restore replaces the fleet's profiles with the snapshot's. The
-// snapshot must come from a fleet with the same base deployment
-// (fingerprint-checked) and slot count. Cached plans survive: they are
-// keyed by learned-state fingerprints, which restoring does not change.
+// Restore replaces the fleet's profiles with the snapshot's — the JSON
+// path; a binary log restores through ReadBinarySnapshot, which builds
+// profiles straight from its frames. The snapshot must come from a
+// fleet with the same base deployment (fingerprint-checked) and slot
+// count. Cached plans survive: they are keyed by learned-state
+// fingerprints, which restoring does not change.
 func (f *Fleet) Restore(s *Snapshot) error {
 	if s.Version != snapshotVersion {
 		return fmt.Errorf("fleet: snapshot version %d, want %d", s.Version, snapshotVersion)
@@ -145,9 +147,11 @@ func (f *Fleet) Restore(s *Snapshot) error {
 
 // buildProfile validates one serialized node against this fleet's
 // configuration and hydrates it into a live profile — the shared
-// admission gate of Restore (whole-fleet replace) and ImportFrames
+// admission gate of Restore (JSON whole-fleet replace),
+// ReadBinarySnapshot (binary whole-fleet replace) and ImportFrames
 // (live shard handoff). Any shape mismatch or undecodable estimator
-// state is an error; nothing is admitted partially.
+// state is an error; nothing is admitted partially. The profile copies
+// everything it keeps out of n, so n may be a reused scratch state.
 func (f *Fleet) buildProfile(n *NodeState) (*profile, error) {
 	if n.ID == "" {
 		return nil, fmt.Errorf("fleet: snapshot contains a node with an empty ID")

@@ -433,16 +433,8 @@ func (l *RushHourLearner) State() RushHourState {
 func (l *RushHourLearner) StateInto(s *RushHourState) {
 	s.RushSlots = l.rushSlots
 	s.Epochs = l.epochs
-	if cap(s.EpochCap) < l.slots {
-		s.EpochCap = make([]float64, l.slots)
-	} else {
-		s.EpochCap = s.EpochCap[:l.slots]
-	}
-	if cap(s.Slots) < l.slots {
-		s.Slots = make([]stats.EWMAState, l.slots)
-	} else {
-		s.Slots = s.Slots[:l.slots]
-	}
+	s.EpochCap = resize(s.EpochCap, l.slots)
+	s.Slots = resize(s.Slots, l.slots)
 	copy(s.EpochCap, l.epochCap)
 	for i := range s.Slots {
 		s.Slots[i] = l.perEpoch.State(i)

@@ -174,6 +174,12 @@ func appendScalar(dst []byte, prior float64, e stats.EWMAState) ([]byte, error) 
 // used the uniform layout. Every bound is checked before the matching
 // allocation, so hostile input cannot make the decoder allocate more
 // than O(len(data)).
+//
+// The learner's slices reuse the backing arrays r already holds when
+// they have the capacity, so a replay can decode every record through
+// one ProfileRecord without allocating. A caller that keeps a decoded
+// record must therefore not decode into it again. On error those
+// arrays hold unspecified values.
 func (r *ProfileRecord) UnmarshalBinary(data []byte) error {
 	if len(data) < recordHeaderSize {
 		return fmt.Errorf("learn: record truncated at %d bytes (header is %d)", len(data), recordHeaderSize)
@@ -212,8 +218,8 @@ func (r *ProfileRecord) UnmarshalBinary(data []byte) error {
 	learner := RushHourState{
 		RushSlots: rushSlots,
 		Epochs:    epochs,
-		EpochCap:  make([]float64, slots),
-		Slots:     make([]stats.EWMAState, slots),
+		EpochCap:  resize(r.Learner.EpochCap, slots),
+		Slots:     resize(r.Learner.Slots, slots),
 	}
 	for i := 0; i < slots; i++ {
 		learner.EpochCap[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
@@ -259,6 +265,15 @@ func (r *ProfileRecord) UnmarshalBinary(data []byte) error {
 	r.Upload = UploadAmountState{Prior: upload.prior, EWMA: upload.state}
 	r.Learner = learner
 	return nil
+}
+
+// resize returns s resliced to n elements when its capacity allows,
+// and a fresh slice otherwise. Callers overwrite every element.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 type scalarRecord struct {

@@ -142,6 +142,8 @@ type Reader struct {
 	r      *bufio.Reader
 	off    int64
 	frames int
+	hdr    [5]byte
+	tail   [4]byte
 }
 
 // NewReader wraps r in a frame reader.
@@ -153,8 +155,22 @@ func NewReader(r io.Reader) *Reader {
 // *TruncatedError on a torn tail, or *CorruptError on damage. The
 // returned payload is owned by the caller (freshly allocated).
 func (r *Reader) Next() (Frame, error) {
+	return r.next(nil)
+}
+
+// NextInto is Next decoding the payload into buf's backing array when
+// it has the capacity, growing it otherwise. The payload aliases buf
+// and is only valid until the next call that is handed the same
+// buffer; a replay that decodes each frame before reading the next
+// passes the previous payload back in and reads the whole log through
+// one buffer.
+func (r *Reader) NextInto(buf []byte) (Frame, error) {
+	return r.next(buf[:0])
+}
+
+func (r *Reader) next(payload []byte) (Frame, error) {
 	start := r.off
-	var hdr [5]byte
+	hdr := r.hdr[:]
 	if _, err := io.ReadFull(r.r, hdr[:1]); err != nil {
 		if err == io.EOF {
 			return Frame{}, io.EOF // clean boundary
@@ -173,8 +189,11 @@ func (r *Reader) Next() (Frame, error) {
 		return Frame{}, &CorruptError{Offset: start, Reason: fmt.Sprintf("unknown frame type %#02x", typ)}
 	}
 	// Read the payload in chunks so a lying length field can't force
-	// a large allocation before the stream delivers the bytes.
-	payload := make([]byte, 0, min(int(n), readChunk))
+	// a large allocation before the stream delivers the bytes. A buffer
+	// passed to NextInto is extended in place while its capacity lasts.
+	if payload == nil {
+		payload = make([]byte, 0, min(int(n), readChunk))
+	}
 	for len(payload) < int(n) {
 		step := min(int(n)-len(payload), readChunk)
 		was := len(payload)
@@ -183,15 +202,14 @@ func (r *Reader) Next() (Frame, error) {
 			return Frame{}, r.fail(start, err)
 		}
 	}
-	var tail [4]byte
-	if _, err := io.ReadFull(r.r, tail[:]); err != nil {
+	tail := r.tail[:]
+	if _, err := io.ReadFull(r.r, tail); err != nil {
 		return Frame{}, r.fail(start, err)
 	}
-	crc := crc32.NewIEEE()
-	crc.Write([]byte{typ})
-	crc.Write(payload)
-	if got, want := binary.LittleEndian.Uint32(tail[:]), crc.Sum32(); got != want {
-		return Frame{}, &CorruptError{Offset: start, Reason: fmt.Sprintf("CRC mismatch: stored %#08x, computed %#08x", got, want)}
+	crc := crc32.Update(0, crc32.IEEETable, hdr[4:5])
+	crc = crc32.Update(crc, crc32.IEEETable, payload)
+	if got := binary.LittleEndian.Uint32(tail); got != crc {
+		return Frame{}, &CorruptError{Offset: start, Reason: fmt.Sprintf("CRC mismatch: stored %#08x, computed %#08x", got, crc)}
 	}
 	r.off += int64(9 + len(payload))
 	r.frames++
